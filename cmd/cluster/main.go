@@ -44,6 +44,7 @@ import (
 
 	"maxsumdiv"
 	"maxsumdiv/internal/cluster"
+	"maxsumdiv/internal/server"
 )
 
 // fileConfig is the -config JSON shape: the member list plus the optional
@@ -142,7 +143,7 @@ func run(ctx context.Context, addr string, cfg cluster.Config, shutdownTimeout t
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: coord.Handler()}
+	hs := server.NewHTTPServer(coord.Handler())
 	names := make([]string, len(cfg.Members))
 	for i, m := range cfg.Members {
 		names[i] = m.Name

@@ -90,7 +90,7 @@ func run(ctx context.Context, addr string, cfg server.Config, shutdownTimeout ti
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := server.NewHTTPServer(srv.Handler())
 	// The backend in the startup line comes from the running corpus, not a
 	// re-derivation of the config defaults, so it cannot drift.
 	fmt.Fprintf(out, "serving on http://%s (%d shards, λ=%g, maintain-k=%d, backend=%s)\n",

@@ -221,8 +221,8 @@ func (ix *Index) VectorRowCacheStats() (hits, misses int64, ok bool) {
 	if !isVec {
 		return 0, 0, false
 	}
-	hits, misses = v.RowCacheCounters()
-	return hits, misses, true
+	rc := v.RowCacheCounts()
+	return rc.Hits, rc.Misses, true
 }
 
 // Cardinality returns the constraint |S| ≤ k (the uniform matroid).

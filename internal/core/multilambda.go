@@ -276,17 +276,10 @@ func (b *mlBranch) scan(obj *Objective, mod *setfunc.Modular, pool *engine.Pool,
 	pool.For(n, func(worker, lo, hi int) {
 		vals := bestVal[worker*nL : worker*nL+nL]
 		idxs := bestIdx[worker*nL : worker*nL+nL]
-		stride := 1024
-		if span := hi - lo; span < stride {
-			stride = span/4 + 1
-		}
+		poll := engine.NewCancelPoll(done, hi-lo)
 		for u := lo; u < hi; u++ {
-			if done != nil && (u-lo)%stride == stride-1 {
-				select {
-				case <-done:
-					return // partial shard; the caller checks ctx and discards
-				default:
-				}
+			if poll.Cancelled() {
+				return // partial shard; the caller checks ctx and discards
 			}
 			if b.in[u] {
 				continue

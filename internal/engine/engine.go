@@ -32,6 +32,36 @@ func strideFor(span int) int {
 	return cancelStride
 }
 
+// CancelPoll is a scan's cancellation check: Cancelled polls the done
+// channel on the last candidate of every stride (strideFor of the scan's
+// span) and returns false without polling on every other. It counts down
+// to the next poll instead of testing each candidate's offset modulo the
+// stride, so the check costs one decrement per candidate. A nil done
+// channel never polls.
+type CancelPoll struct {
+	done         <-chan struct{}
+	left, stride int
+}
+
+// NewCancelPoll returns the poll for a scan of span candidates.
+func NewCancelPoll(done <-chan struct{}, span int) CancelPoll {
+	if done == nil {
+		return CancelPoll{left: -1} // counts down past zero, never to it
+	}
+	stride := strideFor(span)
+	return CancelPoll{done: done, left: stride, stride: stride}
+}
+
+// Cancelled counts one candidate and reports whether the scan should stop.
+func (p *CancelPoll) Cancelled() bool {
+	p.left--
+	if p.left != 0 {
+		return false
+	}
+	p.left = p.stride
+	return cancelled(p.done)
+}
+
 // Pool is a bounded set of scan workers. The zero value and the nil pool
 // both behave as a serial (1-worker) pool, so callers can thread an optional
 // *Pool through without nil checks.
@@ -99,9 +129,10 @@ func (p *Pool) ArgMax(n int, factory func(worker int) Scorer) Best {
 // ArgMaxCtx is ArgMax with cooperative cancellation: every shard polls
 // ctx.Done() once per cancelStride candidates and abandons its range when
 // the context is cancelled. A cancelled scan returns an arbitrary partial
-// Best — the caller is expected to check ctx.Err() and discard it. A nil
-// ctx (or one that never cancels) adds one non-blocking channel poll per
-// stride and nothing per candidate.
+// Best — the caller is expected to check ctx.Err() and discard it. A live
+// ctx adds one non-blocking channel poll per stride and one countdown step
+// per candidate (CancelPoll); a nil ctx (or one that never cancels) polls
+// never.
 func (p *Pool) ArgMaxCtx(ctx context.Context, n int, factory func(worker int) Scorer) Best {
 	if n <= 0 {
 		return Best{Index: -1}
@@ -109,10 +140,9 @@ func (p *Pool) ArgMaxCtx(ctx context.Context, n int, factory func(worker int) Sc
 	if p.shards(n) == 1 {
 		score := factory(0)
 		best := Best{Index: -1}
-		done := doneOf(ctx)
-		stride := strideFor(n)
+		poll := NewCancelPoll(doneOf(ctx), n)
 		for u := 0; u < n; u++ {
-			if done != nil && u%stride == stride-1 && cancelled(done) {
+			if poll.Cancelled() {
 				return best
 			}
 			v, ok := score(u)
@@ -220,12 +250,9 @@ func (p *Pool) ArgMaxPairCtx(ctx context.Context, n int, factory func(worker int
 // next stride boundary.
 func scanShard(score PairScorer, lo, hi int, done <-chan struct{}) Best {
 	best := Best{Index: -1}
-	stride := cancelStride
-	if done != nil {
-		stride = strideFor(hi - lo)
-	}
+	poll := NewCancelPoll(done, hi-lo)
 	for u := lo; u < hi; u++ {
-		if done != nil && (u-lo)%stride == stride-1 && cancelled(done) {
+		if poll.Cancelled() {
 			return best
 		}
 		v, aux, ok := score(u)

@@ -206,3 +206,26 @@ func TestArgMaxCtxCancelsSmallScan(t *testing.T) {
 		t.Fatalf("scan visited %d candidates after cancel at 10, want ≤ %d (one small-scan stride)", v, limit)
 	}
 }
+
+// TestCancelPollMatchesStrideOffsets: the countdown polls on exactly the
+// candidates the offset rule (offset % stride == stride-1) names, for spans
+// on both sides of cancelStride, and a nil channel never polls.
+func TestCancelPollMatchesStrideOffsets(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	for _, span := range []int{1, 3, 4, 5, 17, 400, cancelStride - 1, cancelStride, 3*cancelStride + 7} {
+		poll := NewCancelPoll(closed, span)
+		stride := strideFor(span)
+		for off := 0; off < span; off++ {
+			if got, want := poll.Cancelled(), off%stride == stride-1; got != want {
+				t.Fatalf("span %d offset %d: Cancelled() = %v, want %v", span, off, got, want)
+			}
+		}
+		never := NewCancelPoll(nil, span)
+		for off := 0; off < span; off++ {
+			if never.Cancelled() {
+				t.Fatalf("span %d offset %d: nil channel reported a cancel", span, off)
+			}
+		}
+	}
+}

@@ -89,19 +89,32 @@ var _ Metric = (*Cosine)(nil)
 // O(√dim/127) absolute. TestCosineDistPrecisionContract pins all four paths
 // against this reference.
 func CosineDist(a, b []float64) float64 {
-	var dot, na, nb float64
+	return CosineDistNorms(a, b, SquaredNorm(a), SquaredNorm(b))
+}
+
+// SquaredNorm returns Σ x² over v, the norm term CosineDist sums for each
+// of its vectors.
+func SquaredNorm(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return s
+}
+
+// CosineDistNorms is CosineDist with both vectors' SquaredNorm already
+// known — bit-identical to CosineDist(a, b) when na = SquaredNorm(a) and
+// nb = SquaredNorm(b). Callers computing one vector's distances to many
+// keep each stored vector's norm and compute the new one's once, leaving
+// the dot product as the only O(d) pass per pair.
+func CosineDistNorms(a, b []float64, na, nb float64) float64 {
+	var dot float64
 	m := len(a)
 	if len(b) < m {
 		m = len(b) // mismatched dims: missing coordinates contribute 0
 	}
 	for k := 0; k < m; k++ {
 		dot += a[k] * b[k]
-	}
-	for _, x := range a {
-		na += x * x
-	}
-	for _, x := range b {
-		nb += x * x
 	}
 	if na == 0 || nb == 0 {
 		return 1

@@ -34,10 +34,11 @@
 // per-item scales) and computes cosine distances on demand — O(n·d)
 // resident where every triangular backend is O(n²/2). Its row reads come in
 // three grains: Distance (one pair), AccumulateRow (one row, through a
-// bounded per-store/per-snapshot row cache), and the RowBatcher interface,
-// whose Rows computes all cache-missing rows of a query set in a single
-// streaming pass over the stored vectors (each stored vector is loaded
-// once and dotted against every query point while cache-hot).
+// bounded row cache that each snapshot inherits from the previous one,
+// patched for the vectors that changed in between), and the RowBatcher
+// interface, whose Rows computes all cache-missing rows of a query set in a
+// single streaming pass over the stored vectors (each stored vector is
+// loaded once and dotted against every query point while cache-hot).
 //
 // All of them funnel through two package-private dot kernels selected once
 // per build (kernel.go): native builds bind an 8-lane multi-accumulator

@@ -221,7 +221,8 @@ func TestVecRowsWarmPathAllocs(t *testing.T) {
 	s := kernelTestStore(t, KindVecF32, 50, 8, 48)
 	us := []int{1, 7, 13, 19}
 	scratch := s.Rows(us, nil) // cold: computes and caches every row
-	hits0, misses0 := s.RowCacheCounters()
+	rc := s.RowCacheCounts()
+	hits0, misses0 := rc.Hits, rc.Misses
 	if misses0 != int64(len(us)) || hits0 != 0 {
 		t.Fatalf("cold Rows counters hits=%d misses=%d, want 0/%d", hits0, misses0, len(us))
 	}
@@ -230,7 +231,8 @@ func TestVecRowsWarmPathAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("warm Rows allocated %v times per call, want 0", allocs)
 	}
-	hits, misses := s.RowCacheCounters()
+	rc = s.RowCacheCounts()
+	hits, misses := rc.Hits, rc.Misses
 	if misses != misses0 {
 		t.Fatalf("warm Rows recomputed rows: misses %d → %d", misses0, misses)
 	}

@@ -492,3 +492,55 @@ func TestCosineDist(t *testing.T) {
 		t.Fatalf("zero vector distance = %g, want 1", got)
 	}
 }
+
+// cosineDistOnePass is CosineDist as one function, summing the dot product
+// and both norms itself: the reference CosineDistNorms must match.
+func cosineDistOnePass(a, b []float64) float64 {
+	var dot, na, nb float64
+	m := min(len(a), len(b))
+	for k := 0; k < m; k++ {
+		dot += a[k] * b[k]
+	}
+	for _, x := range a {
+		na += x * x
+	}
+	for _, x := range b {
+		nb += x * x
+	}
+	if na == 0 || nb == 0 {
+		return 1
+	}
+	s := dot / (math.Sqrt(na) * math.Sqrt(nb))
+	if s > 1 {
+		s = 1
+	} else if s < -1 {
+		s = -1
+	}
+	return 1 - s
+}
+
+// TestCosineDistNormsBitIdentical pins the precomputed-norm insert path of
+// the triangular backends: distances from stored SquaredNorms are bit for
+// bit CosineDist's, zero vectors and mismatched dimensions included.
+func TestCosineDistNormsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	vecs := [][]float64{nil, {0, 0, 0}, {1e-300, 0, 0}}
+	for i := 0; i < 60; i++ {
+		v := make([]float64, 3+rng.Intn(3)*13)
+		for k := range v {
+			v[k] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		vecs = append(vecs, v)
+	}
+	for _, a := range vecs {
+		na := SquaredNorm(a)
+		for _, b := range vecs {
+			want := cosineDistOnePass(a, b)
+			for _, got := range []float64{CosineDistNorms(a, b, na, SquaredNorm(b)), CosineDist(a, b)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("len %d·len %d: %v, one-pass CosineDist %v", len(a), len(b), got, want)
+				}
+			}
+		}
+	}
+}

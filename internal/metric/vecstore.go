@@ -47,13 +47,21 @@ type VectorAppender interface {
 // NewVecStoreRowCache (cmd/serve -row-cache).
 const vecRowCacheCap = 64
 
-// rowCacheStats aggregates hit/miss counts across a store and every
-// snapshot it publishes: snapshots get private row maps (their indexing is
-// frozen independently) but share the parent's counters, so the lifetime
-// numbers surfaced in /stats describe the whole serving read path, not
-// just the rarely-read build state.
+// rowCacheStats aggregates counts across a store and every snapshot it
+// publishes: snapshots get their own row maps (their indexing is frozen
+// independently) but share the parent's counters, so the lifetime numbers
+// surfaced in /stats describe the whole serving read path, not just the
+// rarely-read build state.
 type rowCacheStats struct {
-	hits, misses atomic.Int64
+	hits, misses, evictions, carried atomic.Int64
+}
+
+// RowCacheCounts is a snapshot of a vector backend's lifetime row-cache
+// counters: folds served from cache (Hits) or recomputed from vectors
+// (Misses), rows dropped at the bound (Evictions), and rows a new snapshot
+// inherited patched from the previous one instead of recomputing (Carried).
+type RowCacheCounts struct {
+	Hits, Misses, Evictions, Carried int64
 }
 
 // rowCache memoizes computed distance rows keyed by point index, bounded by
@@ -98,6 +106,7 @@ func (c *rowCache) put(u int, row []float32) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.rows, oldest)
+		c.stats.evictions.Add(1)
 	}
 	c.rows[u] = row
 	c.order = append(c.order, u)
@@ -111,10 +120,15 @@ func (c *rowCache) reset() {
 	c.order = c.order[:0]
 }
 
-// counters returns lifetime hit/miss counts (shared across the owning
-// store and all of its snapshots).
-func (c *rowCache) counters() (hits, misses int64) {
-	return c.stats.hits.Load(), c.stats.misses.Load()
+// counts returns the lifetime counters (shared across the owning store and
+// all of its snapshots).
+func (c *rowCache) counts() RowCacheCounts {
+	return RowCacheCounts{
+		Hits:      c.stats.hits.Load(),
+		Misses:    c.stats.misses.Load(),
+		Evictions: c.stats.evictions.Load(),
+		Carried:   c.stats.carried.Load(),
+	}
 }
 
 // vecData is the shared storage of a VecStore and its snapshots: flat
@@ -292,8 +306,10 @@ func (d *vecData) cosineRows(us []int, dsts [][]float32) {
 //
 // RemoveSwap moves the last vector into the deleted slot (copy-on-write when
 // a snapshot shares the storage) — O(d), no permutation, no compaction debt.
-// Snapshot is O(1): storage is append-only between copy-on-write points, so
-// a snapshot is a (slice header, n) view plus a private row cache.
+// A snapshot is a (slice header, n) view of the storage, which is
+// append-only between copy-on-write points, plus its own row cache seeded
+// from the previous snapshot's: each carried row is patched for the slots
+// that changed in between rather than recomputed (see Snapshot).
 type VecStore struct {
 	vecData
 	kind     string
@@ -301,6 +317,14 @@ type VecStore struct {
 	cache    *rowCache
 	cacheCap int            // row bound for this store and every snapshot
 	stats    *rowCacheStats // shared with every snapshot's cache
+
+	// What changed since the last Snapshot, so the next one can carry that
+	// snapshot's rows. Appends need no record: every slot at or past low
+	// holds a vector new since then. Below low, only RemoveSwap writes.
+	last  *rowCache   // the last snapshot's cache (nil before the first)
+	lastN int         // the last snapshot's length
+	low   int         // least length since the last snapshot
+	moved map[int]int // slot < low that RemoveSwap refilled → its vector's slot in the last snapshot, or -1 if new since
 }
 
 // NewVecStore returns an empty vector backend of the given kind (KindVecF32
@@ -366,15 +390,15 @@ func (s *VecStore) Bytes() int64 {
 	return b
 }
 
-// RowCacheCounters returns the solution-row cache's lifetime hit/miss
-// counts, aggregated across this store and every snapshot it has published
-// (introspection; the public API surfaces them).
-func (s *VecStore) RowCacheCounters() (hits, misses int64) {
-	return s.cache.counters()
+// RowCacheCounts returns the solution-row cache's lifetime counters,
+// aggregated across this store and every snapshot it has published
+// (introspection; the public API and /stats surface them).
+func (s *VecStore) RowCacheCounts() RowCacheCounts {
+	return s.cache.counts()
 }
 
 // RowCacheCap returns the row bound of this store's cache (and of every
-// snapshot's private cache).
+// snapshot's cache).
 func (s *VecStore) RowCacheCap() int { return s.cacheCap }
 
 // AppendVector grows the backend by one point in O(d): the vector is stored
@@ -455,6 +479,12 @@ func (s *VecStore) RemoveSwap(u int) error {
 	}
 	s.mutable()
 	last := s.n - 1
+	if u < s.low && u != last {
+		if s.moved == nil {
+			s.moved = make(map[int]int)
+		}
+		s.moved[u] = s.origin(last)
+	}
 	if u != last {
 		if s.f32 != nil {
 			copy(s.f32[u*s.dim:(u+1)*s.dim], s.f32[last*s.dim:(last+1)*s.dim])
@@ -474,12 +504,28 @@ func (s *VecStore) RemoveSwap(u int) error {
 	}
 	s.norm = s.norm[:last]
 	s.n = last
+	if last < s.low {
+		s.low = last
+		delete(s.moved, last) // slot last now holds nothing the last snapshot had
+	}
 	if s.n == 0 {
 		s.dim = 0
 		s.f32, s.q8, s.scale, s.norm = nil, nil, nil, nil
 	}
 	s.cache.reset()
 	return nil
+}
+
+// origin returns the last snapshot's slot whose vector slot j holds now,
+// or -1 if that vector is new since the last snapshot.
+func (s *VecStore) origin(j int) int {
+	if j >= s.low {
+		return -1
+	}
+	if src, ok := s.moved[j]; ok {
+		return src
+	}
+	return j
 }
 
 // mutable copies the backing arrays if a snapshot shares them, so in-place
@@ -532,19 +578,87 @@ func accumulateVecRow(d *vecData, cache *rowCache, u int, sign float64, dst []fl
 	}
 }
 
-// Snapshot publishes an immutable view of the current state in O(1): the
-// flat storage is shared (copy-on-write protected against later removals)
-// and the view keeps its own length, so appends never disturb it. Each
-// snapshot gets a private row cache — its indexing is frozen, so cached rows
-// never invalidate.
+// Snapshot publishes an immutable view of the current state: the flat
+// storage is shared (copy-on-write protected against later removals) and
+// the view keeps its own length, so appends never disturb it. Its indexing
+// is frozen, so its cached rows never invalidate.
+//
+// The view's row cache starts as the previous snapshot's, carried over in
+// the same FIFO order: a point's row moves with the point, copied where it
+// stayed and read through the moves RemoveSwap made, and only the slots
+// holding vectors new since then cost a distance each — O(n + changes·d)
+// per row against the O(n·d) of a recompute. When no slot below the old
+// length changed, the row is extended in place instead of copied (rows are
+// immutable below their length). Rows of deleted or rewritten points drop
+// out. Every carried entry is bit-for-bit what cosineRow computes, and the
+// new cache references no older cache, only shared row arrays.
 func (s *VecStore) Snapshot() Snapshot {
 	s.shared = true
+	cache := newRowCache(s.cacheCap, s.stats)
+	if s.last != nil {
+		s.carryRows(s.last, cache)
+	}
+	s.last, s.lastN, s.low = cache, s.n, s.n
+	clear(s.moved)
 	return &vecSnap{
 		vecData: s.vecData,
 		kind:    s.kind,
 		bytes:   int64(len(s.f32))*4 + int64(len(s.q8)) + int64(len(s.scale))*4 + int64(len(s.norm))*4,
-		cache:   newRowCache(s.cacheCap, s.stats),
+		cache:   cache,
 	}
+}
+
+// carryRows seeds the fresh cache dst with prev's rows, renumbered and
+// patched to the current state.
+func (s *VecStore) carryRows(prev, dst *rowCache) {
+	prev.mu.Lock()
+	points := append([]int(nil), prev.order...)
+	rows := make([][]float32, len(points))
+	for i, u := range points {
+		rows[i] = prev.rows[u]
+	}
+	prev.mu.Unlock()
+
+	// Where each surviving point of the previous snapshot sits now: in its
+	// own slot below low unless that slot was refilled, or in the slot a
+	// RemoveSwap moved it to.
+	var movedTo map[int]int
+	for j, src := range s.moved {
+		if src >= 0 {
+			if movedTo == nil {
+				movedTo = make(map[int]int, len(s.moved))
+			}
+			movedTo[src] = j
+		}
+	}
+	inPlace := len(s.moved) == 0 && s.low == s.lastN
+	for i, u := range points {
+		j, ok := movedTo[u]
+		if !ok {
+			if _, refilled := s.moved[u]; u >= s.low || refilled {
+				continue // deleted or rewritten
+			}
+			j = u
+		}
+		row := rows[i] // inPlace: extend the old row, in its array while capacity lasts
+		if !inPlace {
+			row = make([]float32, s.low, s.n)
+			copy(row, rows[i])
+			for v, src := range s.moved {
+				if src >= 0 {
+					row[v] = rows[i][src]
+				} else {
+					row[v] = float32(s.Distance(j, v))
+				}
+			}
+		}
+		for v := len(row); v < s.n; v++ {
+			row = append(row, float32(s.Distance(j, v)))
+		}
+		dst.rows[j] = row
+		dst.order = append(dst.order, j)
+	}
+	s.stats.carried.Add(int64(len(dst.order)))
 }
 
 // vecSnap is the immutable view Snapshot returns: the same compute-on-demand
@@ -560,11 +674,11 @@ type vecSnap struct {
 func (s *vecSnap) Kind() string { return s.kind }
 
 // Bytes approximates the resident bytes this view keeps alive (the vector
-// storage; the row cache rebuilds per snapshot and is excluded so epoch
-// accounting stays stable across query churn).
+// storage; the row cache, whose rows later snapshots share, is excluded so
+// epoch accounting stays stable across query churn).
 func (s *vecSnap) Bytes() int64 { return s.bytes }
 
-// AccumulateRow folds row u through the snapshot's private cache.
+// AccumulateRow folds row u through the snapshot's cache.
 func (s *vecSnap) AccumulateRow(u int, sign float64, dst []float64) {
 	accumulateVecRow(&s.vecData, s.cache, u, sign, dst)
 }

@@ -299,7 +299,8 @@ func TestVecStoreRowCache(t *testing.T) {
 	second := make([]float64, n)
 	s.AccumulateRow(3, 1, first)
 	s.AccumulateRow(3, 1, second)
-	hits, misses := s.RowCacheCounters()
+	rc := s.RowCacheCounts()
+	hits, misses := rc.Hits, rc.Misses
 	if hits != 1 || misses != 1 {
 		t.Fatalf("after two folds of one row: %d hits, %d misses, want 1/1", hits, misses)
 	}

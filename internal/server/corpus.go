@@ -123,6 +123,7 @@ func (c *corpus) upsertLocked(o op) error {
 	}
 	var idx int
 	var err error
+	sqNorm := metric.SquaredNorm(o.vector)
 	if va, ok := c.dist.(metric.VectorAppender); ok {
 		// Vector-native insert: O(d) — the backend stores the vector and
 		// computes distances on demand, so no O(n·d) row of cosine
@@ -130,8 +131,8 @@ func (c *corpus) upsertLocked(o op) error {
 		idx, err = va.AppendVector(o.vector)
 	} else {
 		dists := make([]float64, len(c.items))
-		for j := range c.items {
-			dists[j] = metric.CosineDist(o.vector, c.items[j].vector)
+		for j, it := range c.items {
+			dists[j] = metric.CosineDistNorms(o.vector, it.vector, sqNorm, it.sqNorm)
 		}
 		idx, err = c.dist.AppendRow(dists)
 	}
@@ -140,7 +141,7 @@ func (c *corpus) upsertLocked(o op) error {
 	}
 	c.weights = append(c.weights, o.weight)
 	c.idList = append(c.idList, o.id)
-	c.items = append(c.items, item{id: o.id, weight: o.weight, vector: o.vector})
+	c.items = append(c.items, item{id: o.id, weight: o.weight, vector: o.vector, sqNorm: sqNorm})
 	c.ids[o.id] = idx
 	c.dirty = true
 	return nil
@@ -268,18 +269,15 @@ func (c *corpus) residentBytes() int64 {
 }
 
 // rowCacheStats reports the vector backend's distance-row cache shape and
-// lifetime hit/miss counters, aggregated across the build store and every
-// published snapshot. ok is false for triangular backends (no row cache).
-func (c *corpus) rowCacheStats() (rows int, hits, misses int64, ok bool) {
+// lifetime counters, aggregated across the build store and every published
+// snapshot; nil for triangular backends (no row cache).
+func (c *corpus) rowCacheStats() *RowCacheStats {
 	v, isVec := c.dist.(*metric.VecStore)
 	if !isVec {
-		return 0, 0, 0, false
+		return nil
 	}
-	c.mu.Lock()
-	rows = v.RowCacheCap()
-	c.mu.Unlock()
-	hits, misses = v.RowCacheCounters()
-	return rows, hits, misses, true
+	rc := v.RowCacheCounts()
+	return &RowCacheStats{Rows: v.RowCacheCap(), Hits: rc.Hits, Misses: rc.Misses, Evictions: rc.Evictions, Carried: rc.Carried}
 }
 
 // epochSeq returns the current epoch's sequence number.

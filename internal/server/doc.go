@@ -76,17 +76,18 @@
 // corpora twice as large fit the same memory budget; "vec-f32"/"vec-int8"
 // store only the item vectors (O(n·d) resident) and compute cosine rows on
 // demand through maxsumdiv/internal/metric's dispatched dot kernels,
-// behind a bounded per-snapshot row cache (Config.RowCache, cmd/serve
-// -row-cache). /stats reports the compiled kernel variant
-// (corpus.kernel) and, on vector backends, the row-cache hit/miss/evict
-// counters (corpus.row_cache). Either way the query
-// path constructs no problem, no distance backend, and no worker pool,
-// whatever algorithm, λ, or k each request carries, and the request
-// context cancels a solve mid-scan. The "maintained" scope instead solves
-// over just the union of the shards' maintained selections — a
-// constant-size candidate pool that trades a little quality for latency
-// independent of the corpus size — through a subset view of the same
-// pinned epoch.
+// behind a bounded row cache (Config.RowCache, cmd/serve -row-cache) that
+// each published epoch inherits from the previous one, patched for the
+// items that changed, instead of starting empty. /stats reports the
+// compiled kernel variant (corpus.kernel) and, on vector backends, the
+// row-cache hits/misses/evictions/carried counters (corpus.row_cache).
+// Either way the query path constructs no problem, no distance backend,
+// and no worker pool, whatever algorithm, λ, or k each request carries,
+// and the request context cancels a solve mid-scan. The "maintained" scope
+// instead solves over just the union of the shards' maintained selections
+// — a constant-size candidate pool that trades a little quality for
+// latency independent of the corpus size — through a subset view of the
+// same pinned epoch.
 //
 // # Endpoints
 //

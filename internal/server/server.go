@@ -23,6 +23,23 @@ import (
 // JSON; batches should stay well under this).
 const maxBodyBytes = 8 << 20
 
+// Connection timeouts of the HTTP servers cmd/serve and cmd/cluster run
+// (NewHTTPServer). A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout, so
+// slow or abandoned clients cannot hold connections open forever. Bodies
+// and responses get no timeout: a large batch or a long solve is bounded
+// by maxBodyBytes and the request context instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with the connection timeouts
+// above set.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // exactQueryLimit caps the corpus size the exponential exact solver will
 // accept over HTTP; larger requests must shrink the scope first.
 const exactQueryLimit = 40
@@ -793,9 +810,7 @@ func (s *Server) Stats() Stats {
 	}
 	cs.QueriesCoalesced, cs.QueriesSolo = s.corpus.batch.counters()
 	cs.Kernel = metric.KernelVariant()
-	if rows, hits, misses, ok := s.corpus.rowCacheStats(); ok {
-		cs.RowCache = &RowCacheStats{Rows: rows, Hits: hits, Misses: misses}
-	}
+	cs.RowCache = s.corpus.rowCacheStats()
 	if items > 0 {
 		cs.BytesPerItem = float64(cs.ResidentBytes) / float64(items)
 	}

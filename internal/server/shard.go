@@ -32,6 +32,7 @@ type item struct {
 	id     string
 	weight float64
 	vector []float64
+	sqNorm float64 // metric.SquaredNorm(vector), kept for the triangular insert path
 }
 
 // shard owns one slice of the item index: the live items, a fully dynamic
@@ -170,6 +171,12 @@ func (sh *shard) pendingLen() int {
 // flush applies the pending queue to the live items and the session in one
 // batch, then lets the session absorb the churn with oblivious single-swap
 // updates until no swap improves (capped). It reports how many swaps ran.
+//
+// If an op fails midway, the ops before it have been applied exactly once
+// and leave the queue; the failing op and every op after it stay queued, in
+// order, for the next flush. Retrying the failing op is safe: when the
+// shard applied it and only the corpus write-through failed, the shard's
+// re-apply is a no-op and only the write-through repeats.
 func (sh *shard) flush() (swaps int, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -180,24 +187,22 @@ func (sh *shard) flushLocked() (swaps int, err error) {
 	if len(sh.pending) == 0 {
 		return 0, nil
 	}
-	for _, o := range sh.pending {
+	for i, o := range sh.pending {
 		switch o.kind {
 		case opUpsert:
-			if err := sh.applyUpsert(o); err != nil {
-				return swaps, err
-			}
+			err = sh.applyUpsert(o)
 		case opDelete:
 			sh.applyDelete(o.id)
 		}
-		if sh.onApply != nil {
-			if err := sh.onApply(o); err != nil {
-				return swaps, err
-			}
+		if err == nil && sh.onApply != nil {
+			err = sh.onApply(o)
+		}
+		if err != nil {
+			sh.dropApplied(i)
+			return 0, err
 		}
 	}
-	sh.pending = sh.pending[:0]
-	sh.pendingIdx = make(map[string]int)
-	sh.liveDelta = 0
+	sh.dropApplied(len(sh.pending))
 	sh.flushes++
 	if sh.sess == nil {
 		return 0, nil
@@ -215,6 +220,29 @@ func (sh *shard) flushLocked() (swaps int, err error) {
 	}
 	sh.swaps += uint64(swaps)
 	return swaps, nil
+}
+
+// dropApplied removes the first n pending ops, which the live items now
+// reflect, keeping the rest queued and coalescing as before.
+func (sh *shard) dropApplied(n int) {
+	rest := sh.pending[n:]
+	sh.pending = append(sh.pending[:0], rest...)
+	clear(sh.pendingIdx)
+	for i, o := range sh.pending {
+		sh.pendingIdx[o.id] = i
+	}
+	// liveDelta is the queue's net effect on the item count: the client
+	// sees len(items)+liveDelta, which applying a prefix must not change.
+	sh.liveDelta = 0
+	for _, o := range sh.pending {
+		_, live := sh.ids[o.id]
+		switch {
+		case o.kind == opUpsert && !live:
+			sh.liveDelta++
+		case o.kind == opDelete && live:
+			sh.liveDelta--
+		}
+	}
 }
 
 // applyUpsert inserts a new item or updates an existing one's weight (and,
@@ -247,10 +275,11 @@ func (sh *shard) applyUpsert(o op) error {
 		// fall through to insert with the new vector
 	}
 	idx := len(sh.items)
+	sqNorm := metric.SquaredNorm(o.vector)
 	if sh.sess != nil {
 		dists := make([]float64, len(sh.items))
-		for j := range sh.items {
-			dists[j] = metric.CosineDist(o.vector, sh.items[j].vector)
+		for j, it := range sh.items {
+			dists[j] = metric.CosineDistNorms(o.vector, it.vector, sqNorm, it.sqNorm)
 		}
 		var err error
 		idx, err = sh.sess.InsertElement(o.weight, dists)
@@ -258,7 +287,7 @@ func (sh *shard) applyUpsert(o op) error {
 			return fmt.Errorf("server: insert %q: %w", o.id, err)
 		}
 	}
-	sh.items = append(sh.items, item{id: o.id, weight: o.weight, vector: o.vector})
+	sh.items = append(sh.items, item{id: o.id, weight: o.weight, vector: o.vector, sqNorm: sqNorm})
 	sh.ids[o.id] = idx
 	sh.inserts++
 	return nil

@@ -137,14 +137,18 @@ type CorpusStats struct {
 }
 
 // RowCacheStats is the vector backends' distance-row cache row in /stats:
-// the configured bound (Config.RowCache) and lifetime hit/miss counters
-// aggregated across the build store and every published epoch. A low hit
-// rate under steady query load means the working set exceeds Rows — each
-// miss recomputes an O(items·dim) row.
+// the configured bound (Config.RowCache) and lifetime counters aggregated
+// across the build store and every published epoch. A low hit rate under
+// steady query load means the working set exceeds Rows — each miss
+// recomputes an O(items·dim) row. Carried counts rows a newly published
+// epoch inherited from the one before, patched for the items that changed
+// instead of recomputed; Evictions counts rows dropped at the bound.
 type RowCacheStats struct {
-	Rows   int   `json:"rows"`
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Rows      int   `json:"rows"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Carried   int64 `json:"carried"`
 }
 
 // Stats is the /stats response body.

@@ -225,3 +225,79 @@ func TestServerVecBackendResidentBytesLinear(t *testing.T) {
 			st.Corpus.ResidentBytes, quadratic)
 	}
 }
+
+// TestServerVecBackendCarriedRows: after a one-item mutation the next
+// query reads rows carried over from the previous epoch instead of
+// recomputing them, and still selects exactly what a server built fresh
+// over the same items selects.
+func TestServerVecBackendCarriedRows(t *testing.T) {
+	for _, backend := range []BackendKind{BackendVecF32, BackendVecInt8} {
+		cfg := Config{Shards: 2, Lambda: 0.5, Parallelism: 1, Backend: backend}
+		live := vecBatch(t, 120, 6)
+		s, ts := newTestServer(t, cfg)
+		if code := doJSON(t, http.MethodPost, ts.URL+"/items", live, nil); code != http.StatusOK {
+			t.Fatalf("%s: upsert: status %d", backend, code)
+		}
+		query := func(url string) []string {
+			t.Helper()
+			var resp DiversifyResponse
+			if code := doJSON(t, http.MethodPost, url+"/diversify",
+				DiversifyRequest{K: 8, Algorithm: "greedy"}, &resp); code != http.StatusOK {
+				t.Fatalf("%s: diversify: status %d", backend, code)
+			}
+			ids := make([]string, len(resp.Items))
+			for i, it := range resp.Items {
+				ids[i] = it.ID
+			}
+			sort.Strings(ids)
+			return ids
+		}
+		query(ts.URL) // warms the first epoch's rows
+
+		rng := rand.New(rand.NewSource(3))
+		mutations := []func(){
+			func() { // delete one item
+				i := rng.Intn(len(live))
+				if code := doJSON(t, http.MethodDelete, ts.URL+"/items/"+live[i].ID, nil, nil); code != http.StatusOK {
+					t.Fatalf("%s: delete: status %d", backend, code)
+				}
+				live = slices.Delete(live, i, i+1)
+			},
+			func() { // rewrite one item's vector
+				i := rng.Intn(len(live))
+				live[i].Vector = randVec(rng, 6)
+				if code := doJSON(t, http.MethodPost, ts.URL+"/items", live[i], nil); code != http.StatusOK {
+					t.Fatalf("%s: rewrite: status %d", backend, code)
+				}
+			},
+			func() { // insert one item
+				it := ItemPayload{ID: "new", Weight: rng.Float64(), Vector: randVec(rng, 6)}
+				if code := doJSON(t, http.MethodPost, ts.URL+"/items", it, nil); code != http.StatusOK {
+					t.Fatalf("%s: insert: status %d", backend, code)
+				}
+				live = append(live, it)
+			},
+		}
+		for m, mutate := range mutations {
+			before := *s.Stats().Corpus.RowCache
+			mutate()
+			got := query(ts.URL)
+			after := *s.Stats().Corpus.RowCache
+			if after.Carried <= before.Carried {
+				t.Fatalf("%s mutation %d: no rows carried into the new epoch (%d → %d)", backend, m, before.Carried, after.Carried)
+			}
+			// A fresh epoch would recompute all k rows the greedy folds; one
+			// mutation changes the picks by at most a couple.
+			if misses := after.Misses - before.Misses; misses > 2 || after.Hits <= before.Hits {
+				t.Fatalf("%s mutation %d: query recomputed %d rows and hit %d", backend, m, misses, after.Hits-before.Hits)
+			}
+			_, fresh := newTestServer(t, cfg)
+			if code := doJSON(t, http.MethodPost, fresh.URL+"/items", live, nil); code != http.StatusOK {
+				t.Fatalf("%s: fresh upsert: status %d", backend, code)
+			}
+			if want := query(fresh.URL); !slices.Equal(got, want) {
+				t.Fatalf("%s mutation %d: selected %v, fresh server %v", backend, m, got, want)
+			}
+		}
+	}
+}
